@@ -1,0 +1,9 @@
+"""Make the benchmark's modules and the simulator importable."""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+for path in (HERE.parent, HERE.parent.parent / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
