@@ -12,20 +12,29 @@ established where the next portion begins.
 Candidate selection for node *N*:
 
 1. scope = *N*'s own string (local patterns) or the shared string (global);
-2. start scanning at ``earliest_candidate_index(lead, frontier, n)``
-   (Section V-E's minimum prefetch lead, relaxed near the string's end);
-3. skip references already claimed by a prefetch or observed in cache
-   (another node may have fetched the block — interprocess benefit);
+2. start at ``earliest_candidate_index(lead, frontier, n)`` (Section V-E's
+   minimum prefetch lead, relaxed near the string's end);
+3. skip references that are taken: claimed by a prefetch, observed in cache
+   (another node may have fetched the block — interprocess benefit), or
+   reserved by another node's action in flight;
 4. stop at a portion boundary when the pattern forbids crossing.
 
-Committed/covered references are remembered in a claimed set per scope, so
-each reference is prefetched at most once machine-wide.
+Each scope keeps one free-index bitmask, a Python int whose bit *i* is set
+while reference *i* is neither claimed nor reserved.  A peek clears its
+candidate's bit; ``commit`` and ``mark_covered`` leave it clear for good, so
+each reference is prefetched at most once machine-wide, and ``abort`` (or
+``suspend``) sets it again.  Step 3 is then a jump to the lowest set bit at
+or above the start, and :meth:`OraclePolicy.exhausted` a single shift, no
+matter how many references are taken.  On global patterns that count is
+large: every daemon holds a reservation while it queues on the metadata
+lock.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
+from ..analysis.invariants import invariant
 from ..workload.patterns import AccessPattern
 from ..workload.progress import ProgressTracker
 from .lead import earliest_candidate_index
@@ -60,30 +69,28 @@ class OraclePolicy(PrefetchPolicy):
         self.pattern = pattern
         self.tracker = tracker
         self.lead = lead
-        #: Per-scope set of claimed (committed or covered) reference indices.
-        self._claimed: Dict[int, Set[int]] = {}
-        #: Per-scope set of reserved (action in flight) reference indices.
-        self._reserved: Dict[int, Set[int]] = {}
-        #: Per-scope scan floor: every unclaimed candidate is >= this.
-        self._scan_base: Dict[int, int] = {}
+        #: Per-scope free-index bitmask: bit i is set while reference i is
+        #: neither claimed (committed or covered) nor reserved.
+        self._free: List[int] = [(1 << len(s)) - 1 for s in pattern.strings]
+        #: Per-scope reserved (action in flight) reference indices.
+        self._reserved: List[Set[int]] = [set() for _ in pattern.strings]
 
     # -- internals ---------------------------------------------------------------
 
     def _scope(self, node_id: int) -> int:
         return node_id if self.pattern.scope == "local" else 0
 
-    def _claimed_for(self, scope: int) -> Set[int]:
-        return self._claimed.setdefault(scope, set())
-
-    def _reserved_for(self, scope: int) -> Set[int]:
-        return self._reserved.setdefault(scope, set())
-
-    def _advance_scan_base(self, scope: int, n_refs: int) -> None:
-        claimed = self._claimed_for(scope)
-        base = self._scan_base.get(scope, 0)
-        while base < n_refs and base in claimed:
-            base += 1
-        self._scan_base[scope] = base
+    def _settle(self, node_id: int, ref_index: int, reopen: bool) -> None:
+        scope = self._scope(node_id)
+        reserved = self._reserved[scope]
+        invariant(
+            ref_index in reserved,
+            "oracle settled a reference it has not reserved",
+            node_id, ref_index,
+        )
+        reserved.remove(ref_index)
+        if reopen:
+            self._free[scope] |= 1 << ref_index
 
     # -- PrefetchPolicy interface ---------------------------------------------------
 
@@ -94,12 +101,8 @@ class OraclePolicy(PrefetchPolicy):
         n = len(string)
         if n == 0:
             return None
-        claimed = self._claimed_for(scope)
-        reserved = self._reserved_for(scope)
         frontier = self.tracker.frontier(node_id)
-
-        start = earliest_candidate_index(self.lead, frontier, n)
-        i = max(start, self._scan_base.get(scope, 0), frontier + 1)
+        i = earliest_candidate_index(self.lead, frontier, n)
 
         crosses = self.pattern.crosses_for(node_id)
         if not crosses:
@@ -107,59 +110,45 @@ class OraclePolicy(PrefetchPolicy):
             # first portion before any demand) is prefetchable.
             allowed_portion = portions[frontier] if frontier >= 0 else portions[0]
 
-        while i < n:
-            if i in claimed or i in reserved:
-                i += 1
-                continue
+        free = self._free[scope]
+        rest = free >> i
+        candidate = None
+        while rest:
+            skip = (rest & -rest).bit_length() - 1
+            i += skip
             if not crosses and portions[i] > allowed_portion:
-                return None  # transient: wait for demand to cross over
+                break  # transient: wait for demand to cross over
             block = int(string[i])
-            if self._in_cache(block):
-                # Someone else brought it in; never propose it.
-                claimed.add(i)
-                self._advance_scan_base(scope, n)
-                i += 1
-                continue
-            reserved.add(i)
-            return i, block
-        return None
-
-    def _settle(self, scope: int, ref_index: int, n_refs: int) -> None:
-        self._reserved_for(scope).discard(ref_index)
-        self._claimed_for(scope).add(ref_index)
-        self._advance_scan_base(scope, n_refs)
+            free ^= 1 << i
+            if not self._in_cache(block):
+                self._reserved[scope].add(i)
+                candidate = (i, block)
+                break
+            # Someone else brought it in; claim it and never propose it.
+            rest >>= skip + 1
+            i += 1
+        self._free[scope] = free
+        return candidate
 
     def commit(self, node_id: int, ref_index: int, block: int) -> None:
-        scope = self._scope(node_id)
-        self._settle(scope, ref_index, len(self.pattern.string_for(node_id)))
+        self._settle(node_id, ref_index, reopen=False)
 
     def mark_covered(self, node_id: int, ref_index: int, block: int) -> None:
-        scope = self._scope(node_id)
-        self._settle(scope, ref_index, len(self.pattern.string_for(node_id)))
+        self._settle(node_id, ref_index, reopen=False)
 
     def abort(self, node_id: int, ref_index: int, block: int) -> None:
-        scope = self._scope(node_id)
-        self._reserved_for(scope).discard(ref_index)
+        self._settle(node_id, ref_index, reopen=True)
 
     def exhausted(self, node_id: int) -> bool:
-        """No unclaimed reference beyond the frontier remains (permanent:
-        the frontier only grows and claims are never released).  In-flight
-        reservations count as claims here; if their actions abort while
-        work remains, the next demand access reopens nothing — but an
-        aborted reservation can only coexist with a still-running daemon,
-        which will re-peek it."""
-        scope = self._scope(node_id)
-        string = self.pattern.string_for(node_id)
-        n = len(string)
-        claimed = self._claimed_for(scope)
-        reserved = self._reserved_for(scope)
-        i = max(self.tracker.frontier(node_id) + 1,
-                self._scan_base.get(scope, 0))
-        while i < n:
-            if i not in claimed and i not in reserved:
-                return False
-            i += 1
-        return True
+        """No free reference lies beyond the frontier.
+
+        Reservations count as taken here.  That keeps the answer permanent
+        even though an abort reopens its reference: the frontier only
+        grows, and a reservation is held by a daemon that is still
+        running, so that daemon re-peeks whatever its abort reopens.
+        """
+        free = self._free[self._scope(node_id)]
+        return not free >> (self.tracker.frontier(node_id) + 1)
 
 
 register_policy("oracle")(OraclePolicy)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.invariants import InvariantViolation
 from repro.prefetch import OraclePolicy
 from repro.sim import RandomStreams
 from repro.workload import ProgressTracker, make_pattern
@@ -166,3 +167,39 @@ def test_mark_covered_settles_reservation():
     policy.mark_covered(0, i, b)
     ni, nb = policy.peek(0)
     assert ni == i + 1
+
+
+def test_double_abort_raises():
+    pattern, tracker, policy, cache = make_oracle()
+    i, b = policy.peek(0)
+    policy.abort(0, i, b)
+    with pytest.raises(InvariantViolation):
+        policy.abort(0, i, b)
+    # The stray abort changed nothing: the reference is proposed once.
+    assert policy.peek(1) == (i, b)
+    assert policy.peek(0) != (i, b)
+
+
+def test_commit_after_abort_raises():
+    pattern, tracker, policy, cache = make_oracle()
+    i, b = policy.peek(0)
+    policy.abort(0, i, b)
+    with pytest.raises(InvariantViolation):
+        policy.commit(0, i, b)
+
+
+@pytest.mark.parametrize("settle", ["commit", "mark_covered", "abort", "suspend"])
+def test_settling_an_unreserved_reference_raises(settle):
+    pattern, tracker, policy, cache = make_oracle()
+    with pytest.raises(InvariantViolation):
+        getattr(policy, settle)(0, 3, 3)
+
+
+def test_abort_after_commit_cannot_reopen_claim():
+    pattern, tracker, policy, cache = make_oracle(total=3, file_blocks=3)
+    i, b = policy.peek(0)
+    policy.commit(0, i, b)
+    with pytest.raises(InvariantViolation):
+        policy.abort(0, i, b)
+    assert [policy.peek(0)[0] for _ in range(2)] == [1, 2]
+    assert policy.exhausted(0)
