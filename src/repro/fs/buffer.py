@@ -52,6 +52,10 @@ class BufferPool(enum.Enum):
 #: a dirty or writing-back block is served from memory).
 DATA_PRESENT = (BufferState.READY, BufferState.DIRTY, BufferState.WRITING)
 
+_EMPTY = BufferState.EMPTY
+_READY = BufferState.READY
+_PREFETCH = RequestKind.PREFETCH
+
 
 class Buffer:
     """One cache buffer.
@@ -334,17 +338,12 @@ class Buffer:
         exactly the blocks counted against the global prefetch budget,
         and evicting them would waste a completed prefetch.
         """
-        if self.pins or self.state in (
-            BufferState.FETCHING,
-            BufferState.DIRTY,
-            BufferState.WRITING,
-        ):
+        # Victim scans test every buffer of a pool, so this reads each
+        # field at most once and compares against module constants
+        # (an enum member looked up on its class costs far more).
+        if self.pins:
             return False
-        if self.state is BufferState.EMPTY:
-            return True
-        if (
-            self.fetch_kind is RequestKind.PREFETCH
-            and self.read_count == 0
-        ):
-            return False
-        return True
+        state = self.state
+        if state is _READY:
+            return self.read_count != 0 or self.fetch_kind is not _PREFETCH
+        return state is _EMPTY

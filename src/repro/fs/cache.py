@@ -170,7 +170,7 @@ class BlockCache:
         self._freed = Event(env)
         self.trace: Optional[Trace] = Trace() if config.record_trace else None
         #: Time demand requests spent waiting for an evictable buffer.
-        self.alloc_waits = Tally("alloc_wait")
+        self.alloc_waits = Tally("alloc_wait", keep_samples=False)
         #: Optional callback ``(node_id, block)`` invoked on every demand
         #: access — feeds on-the-fly predictor policies.
         self.access_observer = None

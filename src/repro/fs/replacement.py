@@ -19,7 +19,7 @@ the NUMA preference for node-local prefetch buffers.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, List, Optional
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from .buffer import Buffer, BufferState
 
@@ -28,17 +28,26 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["ReplacementPolicy", "RUSetPolicy", "GlobalLRUPolicy"]
 
+_EMPTY = BufferState.EMPTY
 
-def _lru_evictable(buffers: Iterable[Buffer]) -> Optional[Buffer]:
-    """Least-recently-used evictable buffer, EMPTY buffers first."""
+
+def _lru_evictable(
+    pools: Sequence[List[Buffer]], skip: Optional[int] = None
+) -> Optional[Buffer]:
+    """Least-recently-used evictable buffer over ``pools`` in order, EMPTY
+    buffers first; ``skip`` names one pool to leave out.  Ties on
+    ``last_use`` go to the first buffer in pool order."""
     best: Optional[Buffer] = None
-    for buf in buffers:
-        if not buf.is_evictable:
+    for index, pool in enumerate(pools):
+        if index == skip:
             continue
-        if buf.state is BufferState.EMPTY:
-            return buf
-        if best is None or buf.last_use < best.last_use:
-            best = buf
+        for buf in pool:
+            if not buf.is_evictable:
+                continue
+            if buf.state is _EMPTY:
+                return buf
+            if best is None or buf.last_use < best.last_use:
+                best = buf
     return best
 
 
@@ -70,26 +79,19 @@ class RUSetPolicy(ReplacementPolicy):
         self, cache: "BlockCache", node_id: int
     ) -> Optional[Buffer]:
         # Local RU set first (size 1 in the paper: toss-immediately).
-        victim = _lru_evictable(cache.demand_rusets[node_id])
+        victim = _lru_evictable((cache.demand_rusets[node_id],))
         if victim is not None:
             return victim
         # Global fallback over every demand buffer.
-        return _lru_evictable(
-            buf for ruset in cache.demand_rusets for buf in ruset
-        )
+        return _lru_evictable(cache.demand_rusets)
 
     def prefetch_victim(
         self, cache: "BlockCache", node_id: int
     ) -> Optional[Buffer]:
-        victim = _lru_evictable(cache.prefetch_sets[node_id])
+        victim = _lru_evictable((cache.prefetch_sets[node_id],))
         if victim is not None:
             return victim
-        return _lru_evictable(
-            buf
-            for node, bufs in enumerate(cache.prefetch_sets)
-            if node != node_id
-            for buf in bufs
-        )
+        return _lru_evictable(cache.prefetch_sets, skip=node_id)
 
 
 class GlobalLRUPolicy(ReplacementPolicy):
@@ -100,13 +102,9 @@ class GlobalLRUPolicy(ReplacementPolicy):
     def demand_victim(
         self, cache: "BlockCache", node_id: int
     ) -> Optional[Buffer]:
-        return _lru_evictable(
-            buf for ruset in cache.demand_rusets for buf in ruset
-        )
+        return _lru_evictable(cache.demand_rusets)
 
     def prefetch_victim(
         self, cache: "BlockCache", node_id: int
     ) -> Optional[Buffer]:
-        return _lru_evictable(
-            buf for bufs in cache.prefetch_sets for buf in bufs
-        )
+        return _lru_evictable(cache.prefetch_sets)

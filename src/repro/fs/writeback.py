@@ -113,7 +113,9 @@ class WritebackDaemon:
         ] = None
         #: Outcome counts for this daemon only.
         self.outcomes: dict = {}
-        self.action_times = Tally(f"flusher{node.node_id}.actions")
+        self.action_times = Tally(
+            f"flusher{node.node_id}.actions", keep_samples=False
+        )
         self.process = self.env.process(
             self._run(), name=f"writeback-daemon-{node.node_id}"
         )

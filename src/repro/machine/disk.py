@@ -210,10 +210,18 @@ class Disk:
         self.disk_id = disk_id
         self.model = model or FixedDiskModel()
         self._queue: Store = Store(env)
-        self.response_times = Tally(f"disk{disk_id}.response")
-        self.demand_response = Tally(f"disk{disk_id}.demand_response")
-        self.prefetch_response = Tally(f"disk{disk_id}.prefetch_response")
-        self.write_response = Tally(f"disk{disk_id}.write_response")
+        self.response_times = Tally(
+            f"disk{disk_id}.response", keep_samples=False
+        )
+        self.demand_response = Tally(
+            f"disk{disk_id}.demand_response", keep_samples=False
+        )
+        self.prefetch_response = Tally(
+            f"disk{disk_id}.prefetch_response", keep_samples=False
+        )
+        self.write_response = Tally(
+            f"disk{disk_id}.write_response", keep_samples=False
+        )
         self.queue_length = TimeWeighted(env, 0.0)
         self.busy = TimeWeighted(env, 0.0)
         self.blocks_served = 0

@@ -72,15 +72,17 @@ class MemorySystem:
 
     def enter(self) -> None:
         """Note that a processor started I/O-subsystem work."""
-        self._active += 1
-        self.active_series.set(self._active)
+        active = self._active + 1
+        self._active = active
+        self.active_series.set(active)
 
     def exit(self) -> None:
         """Note that a processor finished I/O-subsystem work."""
-        if self._active <= 0:
+        active = self._active - 1
+        if active < 0:
             raise RuntimeError("MemorySystem.exit() without matching enter()")
-        self._active -= 1
-        self.active_series.set(self._active)
+        self._active = active
+        self.active_series.set(active)
 
     def reference_time(self, local_refs: int = 0, remote_refs: int = 0) -> float:
         """Cost of a burst of ``local_refs`` local and ``remote_refs``

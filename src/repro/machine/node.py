@@ -136,7 +136,7 @@ class Node:
         self._idle_start: Optional[float] = None
         self.idle_estimator = IdleEstimator()
         self.idle_periods: List[IdlePeriod] = []
-        self.overruns = Tally(f"node{node_id}.overrun")
+        self.overruns = Tally(f"node{node_id}.overrun", keep_samples=False)
         #: Set by the file server / daemon wiring.
         self.daemon = None
         #: The node's writeback daemon, if the run has a write path
@@ -225,7 +225,9 @@ class Node:
     def idle_summary(self) -> Dict[IdleKind, Tally]:
         """Per-kind tallies of *necessary* idle durations."""
         out: Dict[IdleKind, Tally] = {
-            kind: Tally(f"node{self.node_id}.idle.{kind.value}")
+            kind: Tally(
+                f"node{self.node_id}.idle.{kind.value}", keep_samples=False
+            )
             for kind in IdleKind
         }
         for period in self.idle_periods:

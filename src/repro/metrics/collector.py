@@ -46,7 +46,8 @@ class RunMetrics:
         # Block reads.
         self.read_times = Tally("read_time")
         self.read_times_by_node: List[Tally] = [
-            Tally(f"read_time.node{i}") for i in range(n_nodes)
+            Tally(f"read_time.node{i}", keep_samples=False)
+            for i in range(n_nodes)
         ]
 
         # Cache outcome counters.
@@ -58,7 +59,7 @@ class RunMetrics:
         self.misses_by_node = [0] * n_nodes
 
         #: Positive waits on unready hits (the hit-wait time).
-        self.hit_wait = Tally("hit_wait")
+        self.hit_wait = Tally("hit_wait", keep_samples=False)
 
         # Fetch counters.
         self.blocks_demand_fetched = 0
@@ -74,12 +75,16 @@ class RunMetrics:
         self.prefetch_write_offs = 0
 
         # Prefetch actions.
-        self.prefetch_action_times = Tally("prefetch_action")
-        self.failed_action_times = Tally("failed_prefetch_action")
+        self.prefetch_action_times = Tally(
+            "prefetch_action", keep_samples=False
+        )
+        self.failed_action_times = Tally(
+            "failed_prefetch_action", keep_samples=False
+        )
         self.prefetch_outcomes: Dict[str, int] = {}
 
         # Synchronization (filled in by the workload at run end).
-        self.sync_waits = Tally("sync_wait")
+        self.sync_waits = Tally("sync_wait", keep_samples=False)
 
         # Fault injection (populated by the resilience layer; all empty
         # on healthy runs).
@@ -109,10 +114,12 @@ class RunMetrics:
         #: Writebacks that exhausted their retries (block stayed dirty).
         self.flush_failures = 0
         #: Foreground dirty-ratio stalls (the Linux throttle).
-        self.throttle_stalls = Tally("throttle_stall")
+        self.throttle_stalls = Tally("throttle_stall", keep_samples=False)
         # Flusher-daemon actions (the writeback twin of prefetch actions).
-        self.flush_action_times = Tally("flush_action")
-        self.failed_flush_action_times = Tally("failed_flush_action")
+        self.flush_action_times = Tally("flush_action", keep_samples=False)
+        self.failed_flush_action_times = Tally(
+            "failed_flush_action", keep_samples=False
+        )
         self.flush_outcomes: Dict[str, int] = {}
 
         # Run span.

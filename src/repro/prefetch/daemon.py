@@ -83,7 +83,9 @@ class PrefetchDaemon:
         ] = None
         #: Outcome counts for this daemon only.
         self.outcomes: dict = {}
-        self.action_times = Tally(f"daemon{node.node_id}.actions")
+        self.action_times = Tally(
+            f"daemon{node.node_id}.actions", keep_samples=False
+        )
         self.process = self.env.process(
             self._run(), name=f"prefetch-daemon-{node.node_id}"
         )
@@ -94,53 +96,63 @@ class PrefetchDaemon:
         self._stopped = True
 
     def _record(self, start: float, outcome: str) -> None:
-        duration = self.env.now - start
-        self.outcomes[outcome] = self.outcomes.get(outcome, 0) + 1
+        now = self.env.now
+        duration = now - start
+        outcomes = self.outcomes
+        outcomes[outcome] = outcomes.get(outcome, 0) + 1
         self.action_times.record(duration)
         self.metrics.record_prefetch_action(duration, outcome)
-        if self.action_observer is not None:
-            self.action_observer(
-                self.node.node_id, start, self.env.now, outcome
-            )
+        observer = self.action_observer
+        if observer is not None:
+            observer(self.node.node_id, start, now, outcome)
 
     def _run(self):
+        # Everything an action touches is fixed for the daemon's life, so
+        # it is looked up once here: most actions end "no_candidate", and
+        # per-action lookups were a visible share of their host cost.
         env = self.env
         node = self.node
+        node_id = node.node_id
+        gate = node.idle_gate
+        cpu = node.cpu
+        policy = self.policy
+        exhausted = policy.exhausted
+        prefetch_action = self.cache.prefetch_action
+        record = self._record
+        min_prefetch_time = self.config.min_prefetch_time
+        max_failures = self.config.max_consecutive_failures
         while not self._stopped:
-            yield node.idle_gate.wait()
+            yield gate.wait()
             if self._stopped:
                 return
             consecutive_failures = 0
-            while node.idle_gate.is_open and not self._stopped:
-                if self.policy.exhausted(node.node_id):
+            while gate.is_open and not self._stopped:
+                if exhausted(node_id):
                     return  # permanently nothing left for this node
 
                 if (
-                    self.config.min_prefetch_time > 0.0
-                    and node.estimated_idle_remaining()
-                    < self.config.min_prefetch_time
+                    min_prefetch_time > 0.0
+                    and node.estimated_idle_remaining() < min_prefetch_time
                 ):
                     # Not enough idle time left: skip the rest of this
                     # idle period.
-                    yield node.idle_gate.wait_closed()
+                    yield gate.wait_closed()
                     break
 
-                if consecutive_failures >= self.config.max_consecutive_failures:
-                    yield node.idle_gate.wait_closed()
+                if consecutive_failures >= max_failures:
+                    yield gate.wait_closed()
                     break
 
                 start = env.now
-                cpu_req = node.cpu.request()
+                cpu_req = cpu.request()
                 yield cpu_req
-                if not node.idle_gate.is_open or self._stopped:
+                if not gate.is_open or self._stopped:
                     # The user woke while we queued; don't start an action.
-                    node.cpu.release(cpu_req)
+                    cpu.release(cpu_req)
                     break
-                outcome = yield from self.cache.prefetch_action(
-                    node.node_id, self.policy
-                )
-                node.cpu.release(cpu_req)
-                self._record(start, outcome)
+                outcome = yield from prefetch_action(node_id, policy)
+                cpu.release(cpu_req)
+                record(start, outcome)
                 if outcome == "success":
                     consecutive_failures = 0
                 elif outcome == "suspended":
@@ -149,7 +161,7 @@ class PrefetchDaemon:
                     # period instead of spinning on the same candidate —
                     # prefetch must never starve demand I/O on a sick
                     # disk (docs/faults.md).
-                    yield node.idle_gate.wait_closed()
+                    yield gate.wait_closed()
                     break
                 else:
                     consecutive_failures += 1

@@ -50,6 +50,11 @@ class Tally:
     figure generators need percentiles).
     """
 
+    __slots__ = (
+        "name", "keep_samples", "count", "total", "_sumsq", "min", "max",
+        "samples",
+    )
+
     def __init__(self, name: str = "", keep_samples: bool = True) -> None:
         self.name = name
         self.keep_samples = keep_samples
@@ -135,6 +140,8 @@ class TimeWeighted:
     every change; the integral is accumulated against the simulation clock.
     """
 
+    __slots__ = ("env", "_value", "_last_change", "_area", "_start", "max")
+
     def __init__(self, env: "Environment", initial: float = 0.0) -> None:
         self.env = env
         self._value = float(initial)
@@ -150,11 +157,12 @@ class TimeWeighted:
     def set(self, value: float) -> None:
         """Record that the quantity changed to ``value`` at the current time."""
         now = self.env.now
+        value = float(value)
         self._area += self._value * (now - self._last_change)
         self._last_change = now
-        self._value = float(value)
-        if self._value > self.max:
-            self.max = self._value
+        self._value = value
+        if value > self.max:
+            self.max = value
 
     def add(self, delta: float) -> None:
         self.set(self._value + delta)

@@ -27,7 +27,7 @@ from collections import deque
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from .events import URGENT, Event
+from .events import PENDING, URGENT, Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .core import Environment
@@ -77,15 +77,27 @@ class Request(BaseRequest):
     __slots__ = ("usage_since", "_requested_at")
 
     def __init__(self, resource: "Resource") -> None:
-        super().__init__(resource)
+        # Every CPU and metadata-lock claim builds one of these, so the
+        # base initializers are inlined as in Timeout.
+        env = resource.env
+        self.env = env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = True
+        self._defused = False
+        self.resource = resource
         #: Simulation time at which the request was granted.
         self.usage_since: Optional[float] = None
         #: Simulation time at which the request entered the wait queue
         #: (carried on the request itself — the former id-keyed side
         #: table cost a dict insert/pop per request on the hot path).
-        self._requested_at = resource.env.now
-        resource._queue.append(self)
-        resource._trigger()
+        now = env.now
+        self._requested_at = now
+        if len(resource.users) < resource.capacity:
+            # A free slot means nobody is queued: grant straight away.
+            resource._grant(self, now)
+        else:
+            resource._queue.append(self)
 
     def cancel(self) -> None:
         if not self.triggered:
@@ -107,11 +119,14 @@ class Release(Event):
     __slots__ = ("request",)
 
     def __init__(self, resource: "Resource", request: Request) -> None:
-        super().__init__(resource.env)
-        self.request = request
-        self._ok = True
+        env = resource.env
+        self.env = env
+        self.callbacks = []
         self._value = None
-        self.env.schedule(self, priority=URGENT)
+        self._ok = True
+        self._defused = False
+        self.request = request
+        env.schedule(self, URGENT)
 
 
 class Resource:
@@ -171,21 +186,23 @@ class Resource:
             raise RuntimeError(
                 f"{request!r} does not hold {self!r}"
             ) from None
+        now = self.env.now
         if request.usage_since is not None:
-            self.busy_time += self.env.now - request.usage_since
+            self.busy_time += now - request.usage_since
         release = Release(self, request)
-        self._trigger()
+        queue = self._queue
+        while queue and len(self.users) < self.capacity:
+            self._grant(queue.popleft(), now)
         return release
 
-    def _trigger(self) -> None:
-        while self._queue and len(self.users) < self.capacity:
-            req = self._queue.popleft()
-            self.users.append(req)
-            now = self.env.now
-            req.usage_since = now
-            self.total_wait += now - req._requested_at
-            self.grants += 1
-            req.succeed()
+    def _grant(self, req: Request, now: float) -> None:
+        """Hand a slot to ``req`` at time ``now`` (the caller checked one
+        is free)."""
+        self.users.append(req)
+        req.usage_since = now
+        self.total_wait += now - req._requested_at
+        self.grants += 1
+        req.succeed()
 
 
 class PriorityRequest(BaseRequest):
