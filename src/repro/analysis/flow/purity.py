@@ -3,9 +3,10 @@
 PR 5 proved *at runtime* that attaching the observability recorder does
 not perturb a run (obs-on/off event hashes bit-identical).  This pass is
 the static counterpart, generalized to every observer surface: a hook
-registered on the simulation (``Environment.add_step_observer``, or
-assignment to a ``read_observer`` / ``obs_read_observer`` /
-``request_observer`` / ``action_observer`` attribute) must only *read*
+registered on the simulation (``Environment.add_step_observer`` or
+``Environment.add_clock_observer``, or assignment to a
+``read_observer`` / ``obs_read_observer`` / ``request_observer`` /
+``action_observer`` attribute) must only *read*
 simulation state and write its own bookkeeping.
 
 For each registration site the checker resolves the registered callable

@@ -43,8 +43,9 @@ HOOK_ATTRS = frozenset(
     }
 )
 
-#: Methods whose call registers the argument as a step observer.
-HOOK_REGISTER_CALLS = frozenset({"add_step_observer"})
+#: Methods whose call registers their first argument as a step or
+#: clock observer.
+HOOK_REGISTER_CALLS = frozenset({"add_step_observer", "add_clock_observer"})
 
 #: Normalized dotted prefixes that draw entropy.
 _RNG_PREFIXES = ("random.", "numpy.random.", "secrets.")
@@ -137,7 +138,7 @@ class ClassInfo:
 class HookRegistration:
     """One observer registration site."""
 
-    kind: str  # hook attribute name, or "add_step_observer"
+    kind: str  # hook attribute name, or the registering method's name
     target: str  # value as written ("self._on_read"), or "<opaque>"
     line: int
     enclosing: str  # qname of the function containing the registration
@@ -373,7 +374,8 @@ class _ModuleVisitor:
                         line=node.lineno,
                     )
                 )
-            # Step-observer registration: <obj>.add_step_observer(fn)
+            # Observer registration: <obj>.add_step_observer(fn) or
+            # <obj>.add_clock_observer(fn, at)
             if (
                 isinstance(func, ast.Attribute)
                 and func.attr in HOOK_REGISTER_CALLS

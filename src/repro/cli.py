@@ -966,7 +966,7 @@ def _cmd_obs_export(args: argparse.Namespace) -> int:
             json.dump(payload, fh)
         print(
             f"wrote {args.output}: {len(payload['traceEvents'])} trace "
-            f"events ({len(data.spans.spans)} spans on "
+            f"events ({len(data.spans)} spans on "
             f"{len(data.spans.tracks())} tracks), obs digest {data.digest}"
         )
         print("open it at https://ui.perfetto.dev or chrome://tracing")
@@ -978,7 +978,7 @@ def _cmd_obs_export(args: argparse.Namespace) -> int:
             fh.write(spans_to_csv(data.spans))
         print(
             f"wrote {args.output} (metric timelines) and {spans_path} "
-            f"({len(data.spans.spans)} spans), obs digest {data.digest}"
+            f"({len(data.spans)} spans), obs digest {data.digest}"
         )
     print(
         f"[{config.label}] total time {result.total_time:.1f} ms, "

@@ -20,7 +20,7 @@ import csv
 import io
 from typing import Any, Dict, List, Optional, Tuple
 
-from .spans import Span, SpanLog
+from .spans import Span, SpanLog, Track
 from .timeline import TimelineRegistry
 from .recorder import ObsData
 
@@ -279,14 +279,17 @@ def render_ascii(
     if width < 8:
         raise ValueError(f"width {width} too narrow")
     total = max(data.total_time, 1e-9)
+    by_track: Dict[Track, List[Span]] = {}
+    for span in data.spans.spans:
+        by_track.setdefault(span.track, []).append(span)
     lanes: List[str] = []
-    for track in data.spans.tracks():
+    for track in sorted(by_track):
         kind, track_id = track
         if kinds is not None and kind not in kinds:
             continue
         chars = ["."] * width
         priorities = [0] * width
-        for span in data.spans.by_track(track):
+        for span in by_track[track]:
             char, priority = _style(span.cat)
             first = min(width - 1, max(0, int(span.start / total * width)))
             last = min(width - 1, max(first, int(span.end / total * width)))

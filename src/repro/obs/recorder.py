@@ -12,7 +12,7 @@
   ``obs_write_observer`` (write spans), and ``throttle_observer``
   (foreground dirty-throttle / write-through stalls, also on the
   writeback lane),
-* a :class:`~repro.obs.timeline.TimelineSampler` step observer that
+* a :class:`~repro.obs.timeline.TimelineSampler` clock observer that
   snapshots cache occupancy, prefetched-unused count, per-disk queue
   depth, and per-node CPU busy state on sim-time boundaries, and
 * — on faulted runs — a per-disk *fault lane* assembled post-run from
@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from .attribution import attribution_digest
-from .spans import SpanLog
+from .spans import SpanLog, Track
 from .timeline import TimelineRegistry, TimelineSampler
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -124,6 +124,12 @@ class ObsRecorder:
         self._sampler: Optional[TimelineSampler] = None
         self._daemon_nodes: List[int] = []
         self._flusher_nodes: List[int] = []
+        # One shared track tuple per lane, built in on_wired, so a span
+        # costs no fresh tuple.
+        self._node_tracks: Dict[int, Track] = {}
+        self._daemon_tracks: Dict[int, Track] = {}
+        self._writeback_tracks: Dict[int, Track] = {}
+        self._disk_tracks: Dict[int, Track] = {}
         self._reads = self.timelines.counter("reads.completed")
         self._actions = self.timelines.counter("prefetch.actions")
         self._read_latency = self.timelines.histogram("read.latency")
@@ -152,11 +158,16 @@ class ObsRecorder:
             "cache.dirty", lambda: float(cache.dirty_count)
         )
         for disk in machine.disks:
+            self._disk_tracks[disk.disk_id] = ("disk", disk.disk_id)
             disk.request_observer = self._on_disk_request
             self.timelines.register_gauge(
                 f"disk{disk.disk_id}.queue", _disk_queue_gauge(disk)
             )
         for node in machine.nodes:
+            node_id = node.node_id
+            self._node_tracks[node_id] = ("node", node_id)
+            self._daemon_tracks[node_id] = ("daemon", node_id)
+            self._writeback_tracks[node_id] = ("writeback", node_id)
             self.timelines.register_gauge(
                 f"node{node.node_id}.cpu", _node_cpu_gauge(node)
             )
@@ -169,7 +180,7 @@ class ObsRecorder:
         self._sampler = TimelineSampler(
             self.timelines, self.config.sample_interval
         )
-        env.add_step_observer(self._sampler)
+        env.add_clock_observer(self._sampler, self._sampler.interval)
 
     def on_apps(
         self,
@@ -196,7 +207,7 @@ class ObsRecorder:
             return
         now = env.now
         self.spans.add(
-            ("node", node_id),
+            self._node_tracks[node_id],
             f"read b{block}",
             f"read:{outcome}",
             now - latency,
@@ -220,7 +231,7 @@ class ObsRecorder:
             return
         now = env.now
         self.spans.add(
-            ("node", node_id),
+            self._node_tracks[node_id],
             f"write b{block}",
             f"write:{outcome}",
             now - latency,
@@ -235,7 +246,7 @@ class ObsRecorder:
         self, node_id: int, start: float, end: float, reason: str
     ) -> None:
         self.spans.add(
-            ("writeback", node_id),
+            self._writeback_tracks[node_id],
             f"stall:{reason}",
             "writeback:stall",
             start,
@@ -246,7 +257,7 @@ class ObsRecorder:
         self, node_id: int, start: float, end: float, outcome: str
     ) -> None:
         self.spans.add(
-            ("writeback", node_id),
+            self._writeback_tracks[node_id],
             outcome,
             "writeback:action",
             start,
@@ -257,7 +268,7 @@ class ObsRecorder:
     def _on_disk_request(
         self, disk_id: int, request: "DiskRequest"
     ) -> None:
-        track = ("disk", disk_id)
+        track = self._disk_tracks[disk_id]
         kind = request.kind.value
         start = request.start_time
         complete = request.complete_time
@@ -288,7 +299,7 @@ class ObsRecorder:
         self, node_id: int, start: float, end: float, outcome: str
     ) -> None:
         self.spans.add(
-            ("daemon", node_id),
+            self._daemon_tracks[node_id],
             outcome,
             "daemon:action",
             start,
@@ -314,7 +325,7 @@ class ObsRecorder:
         if self._sampler is not None:
             self._sampler.finalize(env.now)
         for node in machine.nodes:
-            track = ("node", node.node_id)
+            track = self._node_tracks[node.node_id]
             for period in node.idle_periods:
                 self.spans.add(
                     track,

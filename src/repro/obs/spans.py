@@ -23,8 +23,9 @@ schedule an event, draw randomness, or otherwise perturb a simulation.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = ["ObsError", "Span", "SpanLog", "Track"]
 
@@ -62,17 +63,29 @@ class _OpenSpan:
 
 
 class SpanLog:
-    """An append-only collection of spans with nesting validation."""
+    """An append-only collection of spans with nesting validation.
+
+    Spans are stored column-wise — parallel lists of tracks, names,
+    categories and args (``None`` when empty) plus ``array('d')`` start
+    and end times — so a long run keeps no garbage-collector-tracked
+    object per span.  :class:`Span` objects are built only when spans
+    are read, in recording order.
+    """
 
     def __init__(self) -> None:
-        self.spans: List[Span] = []
+        self._tracks: List[Track] = []
+        self._names: List[str] = []
+        self._cats: List[str] = []
+        self._args: List[Optional[Dict[str, Any]]] = []
+        self._starts = array("d")
+        self._ends = array("d")
         #: Per-track stack of spans opened via :meth:`begin`.
         self._open: Dict[Track, List[_OpenSpan]] = {}
         #: Per-track high-water mark of begin/end timestamps.
         self._clock: Dict[Track, float] = {}
 
     def __len__(self) -> int:
-        return len(self.spans)
+        return len(self._starts)
 
     # -- completed-interval path ---------------------------------------------
 
@@ -84,18 +97,19 @@ class SpanLog:
         start: float,
         end: float,
         **args: Any,
-    ) -> Span:
+    ) -> None:
         """Record a completed span (both endpoints already known)."""
         if end < start:
             raise ObsError(
                 f"span {name!r} on {track} ends at {end} before its "
                 f"start {start}"
             )
-        span = Span(
-            track=track, name=name, cat=cat, start=start, end=end, args=args
-        )
-        self.spans.append(span)
-        return span
+        self._tracks.append(track)
+        self._names.append(name)
+        self._cats.append(cat)
+        self._args.append(args or None)
+        self._starts.append(start)
+        self._ends.append(end)
 
     # -- live open/close path ------------------------------------------------
 
@@ -116,16 +130,15 @@ class SpanLog:
         self._advance(track, ts, "end")
         open_span = stack.pop()
         open_span.args.update(extra_args)
-        span = Span(
-            track=track,
-            name=open_span.name,
-            cat=open_span.cat,
-            start=open_span.start,
-            end=ts,
-            args=open_span.args,
+        self.add(
+            track,
+            open_span.name,
+            open_span.cat,
+            open_span.start,
+            ts,
+            **open_span.args,
         )
-        self.spans.append(span)
-        return span
+        return self._span(len(self) - 1)
 
     def open_depth(self, track: Track) -> int:
         """How many spans are currently open on ``track``."""
@@ -152,10 +165,30 @@ class SpanLog:
 
     # -- queries ---------------------------------------------------------------
 
+    def _span(self, i: int) -> Span:
+        args = self._args[i]
+        return Span(
+            track=self._tracks[i],
+            name=self._names[i],
+            cat=self._cats[i],
+            start=self._starts[i],
+            end=self._ends[i],
+            args={} if args is None else args,
+        )
+
+    @property
+    def spans(self) -> List[Span]:
+        """Every span, in recording order (built on each read)."""
+        return [self._span(i) for i in range(len(self))]
+
     def tracks(self) -> List[Track]:
         """Every track that holds at least one span, sorted."""
-        return sorted({span.track for span in self.spans})
+        return sorted(set(self._tracks))
 
     def by_track(self, track: Track) -> List[Span]:
         """Spans on one track, in insertion order."""
-        return [span for span in self.spans if span.track == track]
+        return [
+            self._span(i)
+            for i, held in enumerate(self._tracks)
+            if held == track
+        ]

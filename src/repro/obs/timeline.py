@@ -1,10 +1,11 @@
 """Metric timelines: counters, gauges, and histograms over sim time.
 
 A :class:`TimelineRegistry` holds named instruments; a
-:class:`TimelineSampler` rides the simulation's *step-observer* hook and
+:class:`TimelineSampler` rides the simulation's *clock-observer* hook and
 snapshots every instrument each time the event clock crosses a sampling
-boundary.  Sampling therefore costs nothing when no sampler is attached
-and — crucially — never schedules events, so an instrumented run executes
+boundary.  The event loop calls it only on the first event at or after
+its next boundary, so sampling costs one call per interval, not one per
+event — and it never schedules events, so an instrumented run executes
 the exact same event schedule as a bare one (the determinism tests prove
 the event-trace hashes are bit-identical).
 
@@ -175,14 +176,15 @@ class TimelineRegistry:
 
 
 class TimelineSampler:
-    """A step observer that samples the registry on sim-time boundaries.
+    """A clock observer that samples the registry on sim-time boundaries.
 
-    Attached via ``Environment.add_step_observer``; the observer signature
-    is ``(time, priority, sequence, event)``.  When the popped event's
-    timestamp crosses one or more sampling boundaries, each crossed
-    boundary gets one sample (so quiet stretches still produce a sample
-    per interval, carrying the state that held throughout).  Purely
-    passive: reads state, never schedules.
+    Attached via ``Environment.add_clock_observer(sampler,
+    sampler.interval)``; the event loop calls ``sampler(time)`` with the
+    first popped event's time at or after the next boundary, and the
+    sampler returns its new next boundary.  Each crossed boundary gets
+    one sample (so quiet stretches still produce a sample per interval,
+    carrying the state that held throughout).  Purely passive: reads
+    state, never schedules.
     """
 
     def __init__(
@@ -195,13 +197,12 @@ class TimelineSampler:
         self._next = interval
         self.samples_taken = 0
 
-    def __call__(
-        self, time: float, priority: int, sequence: int, event: object
-    ) -> None:
+    def __call__(self, time: float) -> float:
         while time >= self._next:
             self.registry.sample_all(self._next)
             self.samples_taken += 1
             self._next += self.interval
+        return self._next
 
     def finalize(self, end_time: float) -> None:
         """Record one last sample at the run's end timestamp."""

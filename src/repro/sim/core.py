@@ -15,6 +15,7 @@ digests are bit-identical across backends.
 
 from __future__ import annotations
 
+from math import inf
 from typing import Any, Callable, Dict, Iterable, List, Optional, Union
 
 from ..analysis.invariants import InvariantViolation
@@ -27,6 +28,7 @@ __all__ = [
     "EmptySchedule",
     "StopSimulation",
     "StepObserver",
+    "ClockObserver",
     "SCHEDULER_NAMES",
 ]
 
@@ -36,6 +38,13 @@ __all__ = [
 #: state — they exist for auditing (trace hashing, race detection), and
 #: mutating state from one would itself be a source of nondeterminism.
 StepObserver = Callable[[float, int, int, Event], None]
+
+#: Signature of a clock observer: ``(time) -> next_due``, called with the
+#: popped event's time, before its callbacks run, on the first event at
+#: or after the observer's due time; it returns its next due time.  The
+#: same read-only contract as step observers applies.  Between due times
+#: a clock observer costs the event loop nothing beyond one float test.
+ClockObserver = Callable[[float], float]
 
 
 class EmptySchedule(Exception):
@@ -78,6 +87,9 @@ class Environment:
         "_eid",
         "_active_proc",
         "_step_observers",
+        "_clock_observers",
+        "_clock_due",
+        "_hook_at",
         "_push",
         "_pop",
         "_scheduler",
@@ -104,6 +116,13 @@ class Environment:
         self._eid = 0
         self._active_proc: Optional[Process] = None
         self._step_observers: List[StepObserver] = []
+        self._clock_observers: List[ClockObserver] = []
+        #: Next due time of each clock observer, index-aligned.
+        self._clock_due: List[float] = []
+        #: ``step`` dispatches hooks for events at or after this time:
+        #: -inf with step observers attached, the earliest clock-observer
+        #: due time otherwise, +inf with nothing attached.
+        self._hook_at = inf
 
     # -- introspection --------------------------------------------------------
 
@@ -201,10 +220,43 @@ class Environment:
         the event itself — and must not mutate simulation state.
         """
         self._step_observers.append(observer)
+        self._rearm()
 
     def remove_step_observer(self, observer: StepObserver) -> None:
         """Unregister a previously added step observer."""
         self._step_observers.remove(observer)
+        self._rearm()
+
+    def add_clock_observer(self, observer: ClockObserver, at: float) -> None:
+        """Register a hook called once the clock reaches ``at``.
+
+        ``observer(time)`` runs on the first event popped at or after
+        ``at``, before that event's callbacks, and returns the next due
+        time.  A periodic sampler thus costs one call per period rather
+        than one per event.  Observers must not mutate simulation state.
+        """
+        self._clock_observers.append(observer)
+        self._clock_due.append(at)
+        self._rearm()
+
+    def _rearm(self) -> None:
+        if self._step_observers:
+            self._hook_at = -inf
+        else:
+            self._hook_at = min(self._clock_due, default=inf)
+
+    def _run_hooks(
+        self, now: float, priority: int, sequence: int, event: Event
+    ) -> None:
+        for observer in self._step_observers:
+            observer(now, priority, sequence, event)
+        if self._clock_observers:
+            due = self._clock_due
+            for i, observer in enumerate(self._clock_observers):
+                if now >= due[i]:
+                    due[i] = observer(now)
+            if not self._step_observers:
+                self._hook_at = min(due)
 
     # -- scheduling -----------------------------------------------------------
 
@@ -224,15 +276,13 @@ class Environment:
             If the queue is empty.
         """
         try:
-            self._now, priority, sequence, event = self._pop()
+            now, priority, sequence, event = self._pop()
         except IndexError:
             raise EmptySchedule() from None
+        self._now = now
 
-        observers = self._step_observers
-        if observers:
-            now = self._now
-            for observer in observers:
-                observer(now, priority, sequence, event)
+        if now >= self._hook_at:
+            self._run_hooks(now, priority, sequence, event)
 
         callbacks, event.callbacks = event.callbacks, None
         if callbacks is None:

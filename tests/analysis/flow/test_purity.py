@@ -145,6 +145,42 @@ def test_instance_attribute_callable_resolved_to_dunder_call():
     assert "Sampler.__call__" in findings[0].message
 
 
+def test_clock_observer_instance_resolved_to_dunder_call():
+    findings = _flow(
+        (
+            "repro/obs/rec.py",
+            "class Sampler:\n"
+            "    def __call__(self, env):\n"
+            "        env.schedule(None)\n\n"
+            "class Rec:\n"
+            "    def __init__(self, env):\n"
+            "        self._sampler = Sampler()\n"
+            "        env.add_clock_observer(self._sampler, 50.0)\n",
+        )
+    )
+    assert _rules(findings) == ["flow-purity"]
+    assert "Sampler.__call__" in findings[0].message
+
+
+def test_pure_clock_observer_passes():
+    findings = _flow(
+        (
+            "repro/obs/rec.py",
+            "class Sampler:\n"
+            "    def __init__(self):\n"
+            "        self._next = 50.0\n"
+            "    def __call__(self, time):\n"
+            "        self._next += 50.0\n"
+            "        return self._next\n\n"
+            "class Rec:\n"
+            "    def __init__(self, env):\n"
+            "        self._sampler = Sampler()\n"
+            "        env.add_clock_observer(self._sampler, 50.0)\n",
+        )
+    )
+    assert findings == []
+
+
 def test_lambda_registration_unprovable():
     findings = _flow(
         (

@@ -9,7 +9,8 @@ TRACK = ("node", 0)
 
 def test_add_records_a_closed_span():
     log = SpanLog()
-    span = log.add(TRACK, "read", "read:ready", 1.0, 3.5, block=7)
+    log.add(TRACK, "read", "read:ready", 1.0, 3.5, block=7)
+    (span,) = log.spans
     assert (span.start, span.end, span.duration) == (1.0, 3.5, 2.5)
     assert span.args == {"block": 7}
     assert log.spans == [span]

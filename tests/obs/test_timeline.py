@@ -59,12 +59,12 @@ def test_sampler_crosses_boundaries():
     sampler = TimelineSampler(registry, interval=50.0)
     series = registry.series[0]
 
-    sampler(10.0, 0, 0, None)  # before the first boundary: no sample
+    assert sampler(10.0) == 50.0  # before the first boundary: no sample
     assert series.samples == []
     counter.inc()
-    sampler(60.0, 0, 1, None)  # crosses t=50
+    assert sampler(60.0) == 100.0  # crosses t=50
     assert series.samples == [(50.0, 1.0)]
-    sampler(230.0, 0, 2, None)  # crosses 100, 150, 200 in one hop
+    assert sampler(230.0) == 250.0  # crosses 100, 150, 200 in one hop
     assert [t for t, _ in series.samples] == [50.0, 100.0, 150.0, 200.0]
     sampler.finalize(231.5)
     assert series.samples[-1] == (231.5, 1.0)

@@ -261,3 +261,42 @@ def test_event_count_identical_across_backends():
         return env.event_count
 
     assert run("heap") == run("calendar")
+
+
+def test_clock_observer_called_once_per_due_time():
+    env = Environment()
+    calls = []
+
+    def every_ten(now):
+        calls.append(now)
+        return (now // 10.0 + 1) * 10.0
+
+    for t in (3.0, 10.0, 12.0, 15.0, 31.0):
+        env.timeout(t)
+    env.add_clock_observer(every_ten, 10.0)
+    env.run()
+    # Due at 10 (met exactly), then 20 (met at 31); 3, 12 and 15 pass
+    # without a call.
+    assert calls == [10.0, 31.0]
+
+
+def test_hook_gate_tracks_attached_observers():
+    env = Environment()
+    assert env._hook_at == math.inf  # nothing attached
+
+    def clock(now):
+        return now + 50.0
+
+    def spy(time, priority, sequence, event):
+        pass
+
+    env.add_clock_observer(clock, 50.0)
+    assert env._hook_at == 50.0
+    env.add_step_observer(spy)
+    assert env._hook_at == -math.inf
+    env.remove_step_observer(spy)
+    assert env._hook_at == 50.0
+    env.timeout(60.0)
+    env.run()
+    # Re-armed to the observer's next due time after it ran at t=60.
+    assert env._hook_at == 110.0
